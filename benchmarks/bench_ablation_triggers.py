@@ -1,6 +1,6 @@
 """ABLATE — ablation of the design choices behind Optmin[k]'s decision rule.
 
-DESIGN.md calls out two load-bearing design choices:
+Optmin[k]'s decision rule rests on two load-bearing design choices:
 
 1. the decision trigger is the *hidden capacity* rather than the per-round
    count of newly perceived failures used by the prior literature — this

@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark module regenerates one experiment from the paper (see
-DESIGN.md §4 and EXPERIMENTS.md).  Conventions:
+Every benchmark module regenerates one experiment from the paper (named in
+its module docstring).  Conventions:
 
 * each benchmark prints the paper-style rows/series it reproduces (captured
   with ``pytest benchmarks/ --benchmark-only -s`` or in the benchmark logs),

@@ -39,7 +39,7 @@ on top of the compact state never decides *earlier* than its full-information
 counterpart and remains correct with the same worst-case bounds; on rare
 adversaries it may decide a round later.  The APPE benchmark measures both
 the bit counts and the (empirically tiny) fraction of nodes on which the
-capacities differ; see EXPERIMENTS.md.
+capacities differ; see ``benchmarks/bench_efficient_messages.py``.
 """
 
 from __future__ import annotations

@@ -11,14 +11,6 @@ Public surface:
 
 from .adversary import Adversary, Context, check_adversaries
 from .failure_pattern import CrashEvent, FailurePattern
-from .graph import (
-    communication_graph,
-    latest_seen_per_process,
-    layer_counts,
-    message_chain_exists,
-    seen_nodes,
-    view_subgraph,
-)
 from .run import RoundContext, Run, execute, execute_many
 from .types import Decision, ProcessId, ProcessTimeNode, Round, Time, Value
 from .view import NEVER_SEEN, NO_EVIDENCE, View, view_key
@@ -40,13 +32,7 @@ __all__ = [
     "Value",
     "View",
     "check_adversaries",
-    "communication_graph",
     "execute",
     "execute_many",
-    "latest_seen_per_process",
-    "layer_counts",
-    "message_chain_exists",
-    "seen_nodes",
     "view_key",
-    "view_subgraph",
 ]

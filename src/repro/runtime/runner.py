@@ -1,18 +1,16 @@
-"""Resilient survey runners: checkpointed, supervised, budgeted sweeps.
+"""The survey loop: batched folds with optional checkpoint, store and budget hooks.
 
-The execution layer the CLI's ``sweep --checkpoint`` / ``census
---checkpoint`` run on, and the stepping stone to the survey-as-a-service
-store: each runner drives a *deterministic* stream (the constructive orbit
-stream of a :class:`repro.adversaries.RestrictedSpace`, a plain enumeration,
-or the canonical-class stream of a built protocol complex) in batches,
-folding each batch into the aggregate a consumer already knows
-(:class:`repro.verification.checker.CheckReport`,
-:class:`repro.topology.protocol_complex.CapacityCensus`) and flushing an
-atomic checkpoint after every batch.  Because the streams replay
-identically from their specs, a resumed run folds exactly the items an
-uninterrupted run would have folded, in the same order — results are
-byte-identical (``tests/test_resilience.py`` pins interrupted-at-every-
-batch-boundary == uninterrupted).
+Every survey — checker sweeps and Proposition 2 censuses, plain or
+resilient — runs through one loop (:meth:`_Survey.run`) over a
+*deterministic* stream (an orbit stream, a plain enumeration, a quotiented
+family, or the canonical-class stream of a built protocol complex), folding
+each batch into a ``CheckReport`` (:func:`check_stream`) or a
+``CapacityCensus`` (:func:`census_stream`).  The plain entry points fold in
+one batch with no hooks; :func:`resilient_check` / :func:`resilient_census`
+attach them.  Because the streams replay identically from their specs, a
+resumed run folds exactly the items an uninterrupted run would have folded,
+in the same order — results are byte-identical (``tests/test_resilience.py``
+pins interrupted-at-every-batch-boundary == uninterrupted).
 
 Budgets turn hard death into checkpoint-and-stop: a wall-clock
 ``deadline_seconds`` and a peak-RSS ``max_rss_kb`` are checked at batch
@@ -33,7 +31,7 @@ import resource
 import sys
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .checkpoint import Checkpoint, CheckpointStore
 from .report import RunReport
@@ -76,57 +74,97 @@ class ResilientOutcome:
     resumed_from: Optional[int]
 
 
-class _BudgetGovernor:
-    """Shared deadline/RSS bookkeeping of one resilient run."""
+class _Survey:
+    """The survey loop and its optional per-batch hooks.
+
+    After every batch: flush the result store, checkpoint the aggregate
+    (only with a checkpoint ``store``, whose spec the caller ``pin``s; no
+    spec or snapshot is built otherwise), check the budgets.
+    """
 
     def __init__(
-        self, deadline_seconds: Optional[float], max_rss_kb: Optional[int], report: RunReport
+        self,
+        store: Optional[CheckpointStore] = None,
+        resume: bool = False,
+        result_store: Optional["ResultStore"] = None,
+        deadline_seconds: Optional[float] = None,
+        max_rss_kb: Optional[int] = None,
+        report: Optional[RunReport] = None,
     ) -> None:
+        self.report = report if report is not None else RunReport()
+        for hook in (store, result_store):
+            if hook is not None and hook.report is None:
+                hook.report = self.report
+        self.store, self.resume, self.result_store = store, resume, result_store
         self.deadline = (
             time.monotonic() + deadline_seconds if deadline_seconds is not None else None
         )
         self.max_rss_kb = max_rss_kb
-        self.report = report
+        self.spec, self.cursor, self.payload, self.resumed_from = None, 0, None, None
 
-    def arm(self, policy: Optional[SupervisionPolicy]) -> Optional[SupervisionPolicy]:
-        """Give the supervised pool the same absolute deadline (mid-batch aborts)."""
-        if policy is None or self.deadline is None or policy.deadline is not None:
-            return policy
-        return replace(policy, deadline=self.deadline)
+    def pin(self, spec: Dict[str, Any]) -> None:
+        """Set the stream identity; with ``resume``, start at its newest checkpoint."""
+        self.spec = spec
+        checkpoint = self.store.latest(spec=spec) if self.resume else None
+        if checkpoint is not None:
+            self.report.record("resume", cursor=checkpoint.cursor)
+            self.cursor = self.resumed_from = checkpoint.cursor
+            self.payload = checkpoint.payload
 
-    def stop_reason(self, cursor: int) -> Optional[str]:
-        """The budget that tripped at this batch boundary, if any."""
-        if self.deadline is not None and time.monotonic() >= self.deadline:
-            self.report.record("deadline_stop", cursor=cursor)
-            return "deadline"
-        if self.max_rss_kb is not None and peak_rss_kb() > self.max_rss_kb:
-            self.report.record("rss_stop", cursor=cursor, peak_rss_kb=peak_rss_kb())
-            return "rss"
-        return None
+    def run(
+        self,
+        stream: Iterator,
+        batch_size: Optional[int],
+        fold: Callable[[List], None],
+        snapshot: Callable[[], Dict[str, Any]],
+        value: Callable[[], Any],
+    ) -> ResilientOutcome:
+        """Fold ``stream`` from the cursor on; ``value()`` is the aggregate."""
+        store, report, cursor = self.store, self.report, self.cursor
+        # Checkpoints always describe a batch *boundary*: the payload snapshot
+        # is taken right after a batch finishes folding, so a mid-batch
+        # interrupt flushes the last boundary state, never a partially-folded
+        # aggregate (which would double-count the partial batch on resume).
+        boundary = snapshot() if store is not None else None
 
+        def flush() -> None:
+            if self.result_store is not None:
+                self.result_store.flush()
+            if store is not None:
+                store.save(Checkpoint(spec=self.spec, cursor=cursor, payload=boundary))
 
-def _batched(stream: Iterator, size: int) -> Iterator[List]:
-    while True:
-        batch = list(itertools.islice(stream, size))
-        if not batch:
-            return
-        yield batch
-
-
-def _resume_cursor(
-    store: Optional[CheckpointStore],
-    resume: bool,
-    spec: Dict[str, Any],
-    report: RunReport,
-) -> Tuple[int, Optional[Dict[str, Any]], Optional[int]]:
-    """(cursor, payload, resumed_from) off the newest valid checkpoint."""
-    if store is None or not resume:
-        return 0, None, None
-    checkpoint = store.latest(spec=spec)
-    if checkpoint is None:
-        return 0, None, None
-    report.record("resume", cursor=checkpoint.cursor)
-    return checkpoint.cursor, checkpoint.payload, checkpoint.cursor
+        stop_reason = None
+        try:
+            stream = itertools.islice(stream, cursor, None)
+            # ``batch_size=None`` folds the whole stream as one batch.
+            for batch in iter(lambda: list(itertools.islice(stream, batch_size)), []):
+                fold(batch)
+                cursor += len(batch)
+                if store is not None:
+                    boundary = snapshot()
+                flush()
+                # The budget hooks: stop at this boundary once one trips.
+                if self.deadline is not None and time.monotonic() >= self.deadline:
+                    report.record("deadline_stop", cursor=cursor)
+                    stop_reason = "deadline"
+                elif self.max_rss_kb is not None and peak_rss_kb() > self.max_rss_kb:
+                    report.record("rss_stop", cursor=cursor, peak_rss_kb=peak_rss_kb())
+                    stop_reason = "rss"
+                if stop_reason is not None:
+                    break
+        except DeadlineExceeded:
+            # Mid-batch deadline abort from the supervised pool: the aggregate
+            # is still at the last batch boundary, which is what we flush.
+            report.record("deadline_stop", cursor=cursor, mid_batch=True)
+            stop_reason = "deadline"
+            flush()
+        except KeyboardInterrupt:
+            report.record("interrupt", cursor=cursor)
+            flush()
+            raise
+        return ResilientOutcome(
+            value(), report, stop_reason is None, stop_reason, cursor, self.resumed_from
+        )
 
 
 # --------------------------------------------------------------- checker runs
@@ -138,8 +176,17 @@ def _checker_stream(space, symmetry: str) -> Iterator[Tuple[int, Any, int]]:
     ordering); ``"none"`` streams every member with weight 1.  All three
     replay identically from the space description, which is what makes the
     cursor meaningful across process lifetimes.
+
+    A ``limit`` caps orbits on the constructive path and members otherwise:
+    a truncated quotient space is deduplicated over its first ``limit``
+    members, weighted by member counts (it is not closed under renaming).
     """
-    if symmetry in ("constructive", "quotient"):
+    if symmetry == "quotient" and space.limit is not None:
+        from ..symmetry import quotient_family
+
+        representatives, weights, _first = quotient_family(space)
+        yield from zip(itertools.count(), representatives, weights)
+    elif symmetry in ("constructive", "quotient"):
         mode = "constructive" if symmetry == "constructive" else "dedup"
         for index, orbit in enumerate(space.orbits(symmetry=mode)):
             yield index, orbit.representative, orbit.size
@@ -185,51 +232,89 @@ def _check_report_payload(report) -> Dict[str, Any]:
     }
 
 
-def _check_report_from_payload(protocol_name: str, payload: Dict[str, Any]):
-    from ..verification.checker import CheckReport
-    from ..verification.properties import Violation
+def check_stream(
+    protocol_name: str,
+    stream: Iterator[Tuple[int, Any, int]],
+    sweep: Callable[[List[Any]], Iterable],
+    survey: Optional[_Survey] = None,
+    *,
+    batch_size: Optional[int] = None,
+    enforce_paper_bound: bool = True,
+    memo_spec: Optional[str] = None,
+) -> ResilientOutcome:
+    """Fold an ``(index, adversary, weight)`` stream into a ``CheckReport``.
 
-    report = CheckReport(protocol=protocol_name)
-    report.runs_checked = payload["runs_checked"]
-    report.max_decision_time = payload["max_decision_time"]
-    report.decision_time_histogram = {time_: count for time_, count in payload["histogram"]}
-    report.violations = [
-        (index, Violation(property_name, message, process))
-        for index, property_name, message, process in payload["violations"]
-    ]
-    return report
-
-
-def _check_verdict(run, run_violations) -> Dict[str, Any]:
-    """The memoizable outcome of checking one adversary (store payload)."""
-    return {
-        "decision_time": run.last_decision_time(correct_only=True),
-        "violations": [
-            [violation.property_name, violation.message, violation.process]
-            for violation in run_violations
-        ],
-    }
-
-
-def _fold_verdict(aggregate, index: int, verdict: Dict[str, Any], weight: int) -> None:
-    """Fold one memoized verdict into a ``CheckReport``.
-
-    Must mutate the aggregate exactly as ``CheckReport.record`` would for
-    the run the verdict was computed from — including histogram *insertion
-    order*, which the serialized form preserves — so store-enabled and
-    store-disabled sweeps stay byte-identical.
+    The one checker fold, under :func:`repro.verification.check_protocol`
+    (one batch, no hooks) and :func:`resilient_check`; ``sweep`` maps a
+    batch's representatives to their runs.  Given ``memo_spec``, store hits
+    skip ``sweep`` and fold through the same :meth:`CheckReport.record` as
+    computed runs, in stream order.
     """
-    from ..verification.properties import Violation
+    from ..verification.checker import CheckReport
+    from ..verification.properties import Violation, check_run_for_protocol
 
-    aggregate.runs_checked += weight
-    for property_name, message, process in verdict["violations"]:
-        aggregate.violations.append((index, Violation(property_name, message, process)))
-    last = verdict["decision_time"]
-    if last is not None:
-        aggregate.decision_time_histogram[last] = (
-            aggregate.decision_time_histogram.get(last, 0) + weight
+    survey = survey if survey is not None else _Survey()
+    result_store = survey.result_store
+    if memo_spec is not None:
+        from ..store import adversary_key
+    aggregate = CheckReport(protocol=protocol_name)
+    payload = survey.payload
+    if payload is not None:  # resumed: restore the checkpointed boundary aggregate
+        aggregate = CheckReport(
+            protocol_name,
+            payload["runs_checked"],
+            [(index, Violation(*violation)) for index, *violation in payload["violations"]],
+            {time_: count for time_, count in payload["histogram"]},
+            payload["max_decision_time"],
         )
-        aggregate.max_decision_time = max(aggregate.max_decision_time, last)
+
+    def fold(batch: List[Tuple[int, Any, int]]) -> None:
+        # Consult the durable memo first: verdicts found there skip the
+        # engine; only the misses are swept.  ``available`` is re-read every
+        # batch so a store that degrades mid-run falls back to pure compute
+        # from the next batch on.
+        use_store = memo_spec is not None and result_store.available
+        if use_store:
+            keys = [adversary_key(adversary) for _index, adversary, _weight in batch]
+            found = result_store.get_many("check", memo_spec, keys)
+        else:
+            keys, found = (), {}
+        representatives = [
+            adversary
+            for position, (_index, adversary, _weight) in enumerate(batch)
+            if not found or keys[position] not in found
+        ]
+        runs = iter(sweep(representatives) if representatives else ())
+        for position, (index, _adversary, weight) in enumerate(batch):
+            hit = found.get(keys[position]) if found else None
+            if hit is not None:
+                aggregate.record(
+                    index,
+                    hit["decision_time"],
+                    [Violation(*violation) for violation in hit["violations"]],
+                    weight,
+                )
+                continue
+            run = next(runs)
+            run_violations = check_run_for_protocol(run, enforce_paper_bound)
+            aggregate.record(index, run, run_violations, weight)
+            if use_store:
+                result_store.put(
+                    "check",
+                    memo_spec,
+                    keys[position],
+                    {
+                        "decision_time": run.last_decision_time(correct_only=True),
+                        "violations": [
+                            [violation.property_name, violation.message, violation.process]
+                            for violation in run_violations
+                        ],
+                    },
+                )
+
+    return survey.run(
+        stream, batch_size, fold, lambda: _check_report_payload(aggregate), lambda: aggregate
+    )
 
 
 def resilient_check(
@@ -267,10 +352,8 @@ def resilient_check(
     and exhaustive sweeps share entries.  Folding order is the stream order
     either way, so store-enabled output is byte-identical.
     """
-    from ..engine import SweepRunner, validate_engine_choice
-    from ..model.run import Run
+    from ..engine import SweepRunner, runs_over_family, validate_engine_choice
     from ..symmetry import validate_symmetry_choice
-    from ..verification.properties import check_run_for_protocol
 
     validate_engine_choice(engine, processes)
     validate_symmetry_choice(symmetry)
@@ -278,124 +361,41 @@ def resilient_check(
         t = space.context.t
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    report = report if report is not None else RunReport()
-    if store is not None and store.report is None:
-        store.report = report
-    governor = _BudgetGovernor(deadline_seconds, max_rss_kb, report)
-    policy = governor.arm(policy)
-
-    spec = checker_spec(protocol, space, t, symmetry, engine, enforce_paper_bound)
-    protocol_name = getattr(protocol, "name", "protocol")
-    store_spec_h = None
+    memo_spec = None
     if result_store is not None:
-        from ..store import adversary_key, check_store_spec, spec_hash
+        from ..store import check_store_spec, spec_hash
 
-        if result_store.report is None:
-            result_store.report = report
-        store_spec_h = spec_hash(
-            check_store_spec(spec["protocol"], t, space.context.k, enforce_paper_bound)
-        )
-    cursor, payload, resumed_from = _resume_cursor(store, resume, spec, report)
-    aggregate = (
-        _check_report_from_payload(protocol_name, payload)
-        if payload is not None
-        else _check_report_from_payload(protocol_name, _EMPTY_CHECK_PAYLOAD)
-    )
-
-    runner = None
+        name = getattr(protocol, "name", type(protocol).__name__)
+        memo_spec = spec_hash(check_store_spec(name, t, space.context.k, enforce_paper_bound))
+    survey = _Survey(store, resume, result_store, deadline_seconds, max_rss_kb, report)
+    if store is not None:
+        survey.pin(checker_spec(protocol, space, t, symmetry, engine, enforce_paper_bound))
+    if policy is not None and survey.deadline is not None and policy.deadline is None:
+        # The supervised pool gets the same absolute deadline (mid-batch aborts).
+        policy = replace(policy, deadline=survey.deadline)
     if engine == "batch":
-        runner = SweepRunner(
+        sweep = SweepRunner(
             protocol,
             t,
             processes=processes,
             chunk_size=chunk_size,
             mp_context=mp_context,
             supervision=policy,
-            runtime_report=report,
+            runtime_report=survey.report,
+        ).sweep
+    else:
+        sweep = lambda representatives: runs_over_family(  # noqa: E731
+            protocol, representatives, t, engine
         )
-
-    stream = itertools.islice(_checker_stream(space, symmetry), cursor, None)
-    stop_reason = None
-    completed = False
-    # Checkpoints always describe a batch *boundary*: the payload snapshot is
-    # taken right after a batch finishes folding, so a mid-batch interrupt
-    # flushes the last boundary state, never a partially-folded aggregate
-    # (which would double-count the partial batch on resume).
-    boundary_payload = _check_report_payload(aggregate)
-
-    def flush() -> None:
-        if result_store is not None:
-            result_store.flush()
-        if store is not None:
-            store.save(Checkpoint(spec=spec, cursor=cursor, payload=boundary_payload))
-
-    try:
-        for batch in _batched(stream, batch_size):
-            # Consult the durable memo first: verdicts found there skip the
-            # engine; only the misses are swept.  ``available`` is re-read
-            # every batch so a store that degrades mid-run falls back to
-            # pure compute from the next batch on.
-            use_store = result_store is not None and result_store.available
-            if use_store:
-                keys = [adversary_key(adversary) for _index, adversary, _weight in batch]
-                found = result_store.get_many("check", store_spec_h, keys)
-            else:
-                keys, found = (), {}
-            if use_store and found:
-                representatives = [
-                    adversary
-                    for (_index, adversary, _weight), key in zip(batch, keys)
-                    if key not in found
-                ]
-            else:
-                representatives = [adversary for _index, adversary, _weight in batch]
-            if runner is not None:
-                runs = runner.sweep(representatives) if representatives else []
-            else:
-                runs = [Run(protocol, adversary, t) for adversary in representatives]
-            runs_iter = iter(runs)
-            for position, (index, _adversary, weight) in enumerate(batch):
-                hit = found.get(keys[position]) if use_store else None
-                if hit is not None:
-                    _fold_verdict(aggregate, index, hit, weight)
-                    continue
-                run = next(runs_iter)
-                run_violations = check_run_for_protocol(run, enforce_paper_bound)
-                aggregate.record(index, run, run_violations, weight=weight)
-                if use_store:
-                    result_store.put(
-                        "check",
-                        store_spec_h,
-                        keys[position],
-                        _check_verdict(run, run_violations),
-                    )
-            cursor += len(batch)
-            boundary_payload = _check_report_payload(aggregate)
-            flush()
-            stop_reason = governor.stop_reason(cursor)
-            if stop_reason is not None:
-                break
-        else:
-            completed = True
-    except DeadlineExceeded:
-        # Mid-batch deadline abort from the supervised pool: the aggregate is
-        # still at the last batch boundary, which is exactly what we flush.
-        report.record("deadline_stop", cursor=cursor, mid_batch=True)
-        stop_reason = "deadline"
-        flush()
-    except KeyboardInterrupt:
-        report.record("interrupt", cursor=cursor)
-        flush()
-        raise
-    return ResilientOutcome(aggregate, report, completed, stop_reason, cursor, resumed_from)
-
-
-_EMPTY_CHECK_PAYLOAD: Dict[str, Any] = {
-    "runs_checked": 0,
-    "max_decision_time": 0,
-    "histogram": [],
-    "violations": [],
-}
+    return check_stream(
+        getattr(protocol, "name", "protocol"),
+        _checker_stream(space, symmetry),
+        sweep,
+        survey,
+        batch_size=batch_size,
+        enforce_paper_bound=enforce_paper_bound,
+        memo_spec=memo_spec,
+    )
 
 
 # ---------------------------------------------------------------- census runs
@@ -422,6 +422,83 @@ def census_spec(pc, k: int, symmetry: str, backend: str, extra: Optional[Dict] =
     return spec
 
 
+def census_stream(
+    pc,
+    k: int,
+    groups: List[Tuple[Any, int]],
+    profile: Callable[[Any], int],
+    cache,
+    survey: Optional[_Survey] = None,
+    *,
+    batch_size: Optional[int] = None,
+    memo_spec: Optional[str] = None,
+) -> ResilientOutcome:
+    """Fold the class stream of ``census_classes`` into a census row.
+
+    The one census fold, under
+    :func:`repro.topology.capacity_connectivity_census` (one batch, no
+    hooks) and :func:`resilient_census` (``memo_spec`` memoises classes).
+    ``homology_runs`` counts cache misses, or probed stars without a cache.
+    """
+    from ..topology.protocol_complex import CapacityCensus, vertex_capacity
+
+    survey = survey if survey is not None else _Survey()
+    result_store = survey.result_store
+    if memo_spec is not None:
+        from ..store import vertex_key
+    payload = survey.payload
+    counters = list(payload["counters"]) if payload is not None else [0, 0, 0, 0, 0]
+    homology_runs = payload["homology_runs"] if payload is not None else 0
+    misses_before = cache.misses if cache is not None else 0
+
+    def fold(batch: List[Tuple[Any, int]]) -> None:
+        nonlocal homology_runs, misses_before
+        use_store = memo_spec is not None and result_store.available
+        if use_store:
+            keys = [vertex_key(representative) for representative, _weight in batch]
+            found = result_store.get_many("census_class", memo_spec, keys)
+        else:
+            keys, found = (), {}
+        probed = 0
+        for position, (representative, weight) in enumerate(batch):
+            hit = found.get(keys[position]) if found else None
+            if hit is not None:
+                capacity, level = hit["capacity"], hit["level"]
+            else:
+                capacity = vertex_capacity(representative)
+                level = profile(pc.complex.star(representative))
+                probed += 1
+                if use_store:
+                    result_store.put(
+                        "census_class",
+                        memo_spec,
+                        keys[position],
+                        {"capacity": capacity, "level": level},
+                    )
+            counters[0] += weight
+            if capacity >= k:
+                counters[1] += weight
+                if level >= k - 1:
+                    counters[2] += weight
+            if level >= k - 1:
+                counters[3] += weight
+                if capacity >= k:
+                    counters[4] += weight
+        if cache is not None:
+            homology_runs += cache.misses - misses_before
+            misses_before = cache.misses
+        else:
+            homology_runs += probed
+
+    return survey.run(
+        iter(groups),
+        batch_size,
+        fold,
+        lambda: {"counters": list(counters), "homology_runs": homology_runs},
+        lambda: CapacityCensus(*counters, classes=len(groups), homology_runs=homology_runs),
+    )
+
+
 def resilient_census(
     pc,
     k: int,
@@ -440,8 +517,9 @@ def resilient_census(
     """Checkpointed :func:`repro.topology.capacity_connectivity_census`.
 
     The class stream and the per-class fold are shared with the plain census
-    (:func:`repro.topology.protocol_complex.census_classes`), so a completed
-    outcome's census *row* is byte-identical to the uninterrupted survey's.
+    (:func:`repro.topology.protocol_complex.census_classes`,
+    :func:`census_stream`), so a completed outcome's census *row* is
+    byte-identical to the uninterrupted survey's.
     ``homology_runs`` counts profiles computed in *this* process — a resumed
     run re-misses its connectivity cache, so that bookkeeping field (and
     only it) may exceed the uninterrupted run's.
@@ -457,26 +535,16 @@ def resilient_census(
     ``homology_runs`` — like cache hits, they ran no homology.
     """
     from ..topology.connectivity import DEFAULT_HOMOLOGY_BACKEND
-    from ..topology.protocol_complex import (
-        CapacityCensus,
-        census_classes,
-        vertex_capacity,
-    )
+    from ..topology.protocol_complex import CapacityCensus, census_classes
 
     if backend is None:
         backend = DEFAULT_HOMOLOGY_BACKEND
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    report = report if report is not None else RunReport()
-    if store is not None and store.report is None:
-        store.report = report
-    governor = _BudgetGovernor(deadline_seconds, max_rss_kb, report)
-
-    if result_store is not None and result_store.report is None:
-        result_store.report = report
+    survey = _Survey(store, resume, result_store, deadline_seconds, max_rss_kb, report)
     class_spec_h = row_key = None
     if result_store is not None:
-        from ..store import census_class_store_spec, census_row_key, spec_hash, vertex_key
+        from ..store import census_class_store_spec, census_row_key, spec_hash
 
         class_spec_h = spec_hash(census_class_store_spec(pc, k))
         row_key = census_row_key(symmetry)
@@ -492,90 +560,23 @@ def resilient_census(
                     *row_hit["counters"], classes=row_hit["classes"], homology_runs=0
                 )
                 return ResilientOutcome(
-                    census, report, True, None, row_hit["classes"], None
+                    census, survey.report, True, None, row_hit["classes"], None
                 )
     groups, profile, cache = census_classes(
         pc, k, symmetry=symmetry, backend=backend, result_store=result_store
     )
-    spec = census_spec(pc, k, symmetry, backend, spec_extra)
-    spec["classes"] = len(groups)
-    cursor, payload, resumed_from = _resume_cursor(store, resume, spec, report)
-    counters = list(payload["counters"]) if payload is not None else [0, 0, 0, 0, 0]
-    homology_runs = payload["homology_runs"] if payload is not None else 0
-
-    # Snapshot taken at batch boundaries only — a mid-batch interrupt must
-    # not flush partially-updated counters against a boundary cursor.
-    boundary_payload = {"counters": list(counters), "homology_runs": homology_runs}
-
-    def flush() -> None:
-        if result_store is not None:
-            result_store.flush()
-        if store is not None:
-            store.save(Checkpoint(spec=spec, cursor=cursor, payload=boundary_payload))
-
-    def outcome(completed: bool, stop_reason: Optional[str]) -> ResilientOutcome:
-        census = CapacityCensus(*counters, classes=len(groups), homology_runs=homology_runs)
-        return ResilientOutcome(census, report, completed, stop_reason, cursor, resumed_from)
-
-    stop_reason = None
-    misses_before = cache.misses if cache is not None else 0
-    uncached = 0  # classes folded with no in-memory cache to count misses for
-    try:
-        while cursor < len(groups):
-            batch = groups[cursor : cursor + batch_size]
-            use_store = result_store is not None and result_store.available
-            if use_store:
-                keys = [vertex_key(representative) for representative, _weight in batch]
-                found = result_store.get_many("census_class", class_spec_h, keys)
-            else:
-                keys, found = (), {}
-            for position, (representative, weight) in enumerate(batch):
-                hit = found.get(keys[position]) if use_store else None
-                if hit is not None:
-                    capacity, level = hit["capacity"], hit["level"]
-                else:
-                    capacity = vertex_capacity(representative)
-                    level = profile(pc.complex.star(representative))
-                    if cache is None:
-                        uncached += 1
-                    if use_store:
-                        result_store.put(
-                            "census_class",
-                            class_spec_h,
-                            keys[position],
-                            {"capacity": capacity, "level": level},
-                        )
-                counters[0] += weight
-                if capacity >= k:
-                    counters[1] += weight
-                    if level >= k - 1:
-                        counters[2] += weight
-                if level >= k - 1:
-                    counters[3] += weight
-                    if capacity >= k:
-                        counters[4] += weight
-            cursor += len(batch)
-            if cache is not None:
-                homology_runs += cache.misses - misses_before
-                misses_before = cache.misses
-            else:
-                homology_runs += uncached
-                uncached = 0
-            boundary_payload = {"counters": list(counters), "homology_runs": homology_runs}
-            flush()
-            stop_reason = governor.stop_reason(cursor)
-            if stop_reason is not None:
-                return outcome(False, stop_reason)
-    except KeyboardInterrupt:
-        report.record("interrupt", cursor=cursor)
-        flush()
-        raise
-    if result_store is not None and result_store.available:
+    if store is not None:
+        extra = {**(spec_extra or {}), "classes": len(groups)}
+        survey.pin(census_spec(pc, k, symmetry, backend, extra))
+    outcome = census_stream(
+        pc, k, groups, profile, cache, survey, batch_size=batch_size, memo_spec=class_spec_h
+    )
+    if outcome.completed and result_store is not None and result_store.available:
         result_store.put(
             "census_row",
             class_spec_h,
             row_key,
-            {"counters": list(counters), "classes": len(groups)},
+            {"counters": list(outcome.value.row), "classes": len(groups)},
         )
         result_store.flush()
-    return outcome(True, None)
+    return outcome

@@ -73,7 +73,7 @@ so a capacity-vs-connectivity census simulates nothing beyond that single
 pass.
 
 The substitution (homology proxy instead of true connectivity) is recorded in
-DESIGN.md §2 and EXPERIMENTS.md (PROP2).
+docs/topology.md and exercised by ``benchmarks/bench_prop2_connectivity.py``.
 """
 
 from __future__ import annotations

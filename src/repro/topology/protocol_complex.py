@@ -153,12 +153,13 @@ def census_classes(
     :class:`repro.topology.connectivity.ConnectivityCache` (``None`` on the
     exhaustive path).
 
-    Exposed separately from :func:`capacity_connectivity_census` so the
-    resilient runtime (:func:`repro.runtime.resilient_census`) can fold the
-    same stream in checkpointed batches: a checkpoint cursor is an index
-    into ``groups``, which is why the list order must be deterministic — it
-    follows ``pc.vertex_views`` generation order (first-seen order of the
-    canonical classes on the symmetry paths).
+    Both census entry points fold this stream through the one census fold
+    (:func:`repro.runtime.runner.census_stream`): the plain
+    :func:`capacity_connectivity_census` in one batch, the resilient
+    :func:`repro.runtime.resilient_census` in checkpointed batches.  A
+    checkpoint cursor is an index into ``groups``, which is why the list
+    order must be deterministic — it follows ``pc.vertex_views`` generation
+    order (first-seen order of the canonical classes on the symmetry paths).
 
     ``result_store`` threads a :class:`repro.store.ResultStore` into the
     :class:`ConnectivityCache` as its persistent tier (symmetry paths only —
@@ -249,35 +250,15 @@ def capacity_connectivity_census(
     cannot catch every violation (equal counts, different homology), which
     is why closure remains a documented requirement.
     """
+    from ..runtime.runner import census_stream
+
     groups, profile, cache = census_classes(
         pc, k, symmetry=symmetry, backend=backend, result_store=result_store
     )
-    classes = len(groups)
-
-    vertices = high = consistent = connected = connected_high = 0
-    for representative, weight in groups:
-        capacity = vertex_capacity(representative)
-        level = profile(pc.complex.star(representative))
-        vertices += weight
-        if capacity >= k:
-            high += weight
-            if level >= k - 1:
-                consistent += weight
-        if level >= k - 1:
-            connected += weight
-            if capacity >= k:
-                connected_high += weight
+    census = census_stream(pc, k, groups, profile, cache).value
     if result_store is not None:
         result_store.flush()
-    return CapacityCensus(
-        vertices,
-        high,
-        consistent,
-        connected,
-        connected_high,
-        classes,
-        classes if cache is None else cache.misses,
-    )
+    return census
 
 
 def build_protocol_complex(

@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..model.adversary import Adversary, Context
-from ..model.run import Run
-from .properties import Violation, check_run_for_protocol
+from .properties import Violation
 
 
 @dataclass
@@ -56,10 +55,13 @@ class CheckReport:
         return not self.violations
 
     def record(self, index: int, run, run_violations: List[Violation], weight: int = 1) -> None:
-        """Fold one run's outcome into the report.
+        """Fold one outcome into the report (the only place its counters change).
 
         ``run`` may be a reference :class:`repro.model.run.Run` or a batch
-        :class:`repro.engine.BatchRun`; only the shared read API is used.
+        :class:`repro.engine.BatchRun`; only the shared read API is used.  A
+        memoised verdict passes its last correct decision time (an ``int``,
+        or ``None``) in place of the run, so store hits fold exactly like the
+        runs they were computed from — histogram insertion order included.
         ``weight`` is the orbit size of a quotient sweep's representative
         (the number of family members sharing this outcome); violations stay
         one entry per representative.
@@ -67,7 +69,11 @@ class CheckReport:
         self.runs_checked += weight
         for violation in run_violations:
             self.violations.append((index, violation))
-        last = run.last_decision_time(correct_only=True)
+        last = (
+            run
+            if run is None or isinstance(run, int)
+            else run.last_decision_time(correct_only=True)
+        )
         if last is not None:
             self.decision_time_histogram[last] = (
                 self.decision_time_histogram.get(last, 0) + weight
@@ -106,63 +112,13 @@ def check_protocol(
     :class:`repro.adversaries.RestrictedSpace` (or a pre-built
     :func:`repro.adversaries.enumerate_orbits` stream), which is what makes
     spaces too large to enumerate checkable.
+
+    The family is folded in one batch of the survey loop
+    (:func:`repro.runtime.runner.check_stream`) with no runtime hooks.
     """
-    from ..engine import SweepRunner, validate_engine_choice
-    from ..symmetry import validate_symmetry_choice
-
-    validate_engine_choice(engine, processes)
-    validate_symmetry_choice(symmetry)
-    if symmetry == "constructive":
-        from ..adversaries.enumeration import constructive_quotient
-
-        return _check_quotiented(
-            protocol,
-            constructive_quotient(adversaries),
-            t,
-            enforce_paper_bound,
-            engine,
-            processes,
-        )
-    if symmetry == "quotient":
-        from ..symmetry import quotient_family
-
-        return _check_quotiented(
-            protocol, quotient_family(adversaries), t, enforce_paper_bound, engine, processes
-        )
-    if engine == "reference":
-        report = CheckReport(protocol=getattr(protocol, "name", "protocol"))
-        for index, adversary in enumerate(adversaries):
-            run = Run(protocol, adversary, t)
-            report.record(index, run, check_run_for_protocol(run, enforce_paper_bound))
-        return report
-    runner = SweepRunner(protocol, t, processes=processes)
-    return runner.check(adversaries, enforce_paper_bound)
-
-
-def _check_quotiented(
-    protocol,
-    quotiented: Tuple[List[Adversary], List[int], List[int]],
-    t: int,
-    enforce_paper_bound: bool,
-    engine: str,
-    processes: Optional[int],
-) -> CheckReport:
-    """Fold one protocol's runs over pre-quotiented representatives.
-
-    Split out of :func:`check_protocol` so :func:`check_protocols` can
-    canonicalise the family once and reuse the quotient across protocols —
-    the canonical-form pass dominates the quotient sweep's cost on large
-    spaces, and it is protocol-independent.
-    """
-    from ..engine import runs_over_family
-
-    representatives, weights, first_indices = quotiented
-    report = CheckReport(protocol=getattr(protocol, "name", "protocol"))
-    runs = runs_over_family(protocol, representatives, t, engine, processes)
-    for run, weight, index in zip(runs, weights, first_indices):
-        report.record(
-            index, run, check_run_for_protocol(run, enforce_paper_bound), weight=weight
-        )
+    (report,) = check_protocols(
+        [protocol], adversaries, t, enforce_paper_bound, engine, processes, symmetry
+    ).values()
     return report
 
 
@@ -177,40 +133,34 @@ def check_protocols(
 ) -> Dict[str, CheckReport]:
     """Check several protocols over the same adversary family.
 
-    The quotient is computed once and shared across protocols (orbits do not
-    depend on the protocol under check); the constructive orbit stream is
-    likewise drained once.
+    The ``(index, representative, weight)`` stream — every member with
+    weight 1, or the ``quotient_family`` / ``constructive_quotient`` orbit
+    front, whose canonical-form pass dominates a quotient sweep's cost and
+    does not depend on the protocol under check — is built once and shared
+    across protocols.
     """
-    if symmetry in ("quotient", "constructive"):
-        from ..engine import validate_engine_choice
-        from ..symmetry import validate_symmetry_choice
+    from ..adversaries.enumeration import constructive_quotient
+    from ..engine import runs_over_family, validate_engine_choice
+    from ..runtime.runner import check_stream
+    from ..symmetry import quotient_family, validate_symmetry_choice
 
-        validate_engine_choice(engine, processes)
-        validate_symmetry_choice(symmetry)
-        if symmetry == "constructive":
-            from ..adversaries.enumeration import constructive_quotient
-
-            quotiented = constructive_quotient(adversaries)
-        else:
-            from ..symmetry import quotient_family
-
-            quotiented = quotient_family(adversaries)
-        return {
-            getattr(protocol, "name", repr(protocol)): _check_quotiented(
-                protocol, quotiented, t, enforce_paper_bound, engine, processes
-            )
-            for protocol in protocols
-        }
+    validate_engine_choice(engine, processes)
+    validate_symmetry_choice(symmetry)
+    if symmetry == "none":
+        stream = [(index, adversary, 1) for index, adversary in enumerate(adversaries)]
+    else:
+        quotient = constructive_quotient if symmetry == "constructive" else quotient_family
+        representatives, weights, indices = quotient(adversaries)
+        stream = list(zip(indices, representatives, weights))
     return {
-        getattr(protocol, "name", repr(protocol)): check_protocol(
-            protocol,
-            adversaries,
-            t,
-            enforce_paper_bound,
-            engine=engine,
-            processes=processes,
-            symmetry=symmetry,
-        )
+        getattr(protocol, "name", repr(protocol)): check_stream(
+            getattr(protocol, "name", "protocol"),
+            iter(stream),
+            lambda representatives: runs_over_family(
+                protocol, representatives, t, engine, processes
+            ),
+            enforce_paper_bound=enforce_paper_bound,
+        ).value
         for protocol in protocols
     }
 

@@ -3,13 +3,8 @@
 import pytest
 
 from repro.adversaries import AdversaryGenerator, figure1_scenario
-from repro.model import (
-    Adversary,
-    Context,
-    CrashEvent,
-    FailurePattern,
-    ProcessTimeNode,
-    Run,
+from repro.model import Adversary, Context, CrashEvent, FailurePattern, ProcessTimeNode, Run
+from repro.model.graph import (
     communication_graph,
     latest_seen_per_process,
     layer_counts,
