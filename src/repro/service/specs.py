@@ -170,8 +170,12 @@ def admission(
             workload = estimate_adversary_count(context, **restrictions)
             unit = "enumerated members"
     else:
-        # The census folds the m-round complex; its size is governed by the
-        # same closed form, restricted to crashes within the first m rounds.
+        # The census builds the m-round complex over the "at most k crashes
+        # per round" patterns with at most t crashes, all within the first m
+        # rounds — a subfamily of this closed form's space, which also
+        # multiplies by the input vectors (the census fixes one).  So the
+        # estimate is an upper bound on the patterns the builder generates,
+        # not their exact number.
         workload = estimate_adversary_count(
             context, max_crash_round=spec["time"], receiver_policy="canonical"
         )

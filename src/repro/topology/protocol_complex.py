@@ -341,6 +341,7 @@ def per_round_crash_patterns(
     rounds: int,
     max_crashes_per_round: int,
     receiver_policy: str = "canonical",
+    max_failures: Optional[int] = None,
 ) -> Iterator[FailurePattern]:
     """Failure patterns with at most ``max_crashes_per_round`` crashes in each round.
 
@@ -349,34 +350,48 @@ def per_round_crash_patterns(
     Proposition 2's illustration builds its protocol complexes.  The receiver
     policy has the same meaning as in
     :func:`repro.adversaries.enumeration.enumerate_failure_patterns`.
+
+    ``max_failures`` (default: no bound beyond the model's ``n - 1``) caps
+    the total number of crashes; the budget ``min(max_failures, n - 1)`` is
+    applied during generation — each round's crasher count stops at the
+    budget that remains — so no pattern over it is ever built.  The output
+    is exactly the unbounded stream filtered by ``num_failures <=
+    max_failures``, in the same order.  Each round's event tuples depend only
+    on the still-available processes, the round and the crasher cap, so they
+    are built once per call and shared by every prefix that reaches them.
     """
     from ..adversaries.enumeration import _receiver_subsets
 
-    def patterns_for_round(available: Tuple[ProcessId, ...], round_: int) -> Iterator[Tuple[CrashEvent, ...]]:
-        for count in range(min(max_crashes_per_round, len(available)) + 1):
-            for crashers in itertools.combinations(available, count):
-                receiver_choices = [
-                    list(_receiver_subsets(n, p, receiver_policy)) for p in crashers
-                ]
-                for receivers in itertools.product(*receiver_choices):
-                    yield tuple(
-                        CrashEvent(p, round_, r) for p, r in zip(crashers, receivers)
-                    )
+    if max_failures is not None and max_failures < 0:
+        raise ValueError(f"max_failures must be >= 0, got {max_failures}")
+    budget = n - 1 if max_failures is None else min(max_failures, n - 1)
+    receiver_options = [list(_receiver_subsets(n, p, receiver_policy)) for p in range(n)]
+    # (available, round, cap) -> every (events, still available) choice.
+    round_choices: Dict[tuple, List[Tuple[Tuple[CrashEvent, ...], Tuple[ProcessId, ...]]]] = {}
+
+    def choices_for_round(available: Tuple[ProcessId, ...], round_: int, cap: int):
+        key = (available, round_, cap)
+        if key not in round_choices:
+            choices = round_choices[key] = []
+            for count in range(cap + 1):
+                for crashers in itertools.combinations(available, count):
+                    survivors = tuple(p for p in available if p not in crashers)
+                    for receivers in itertools.product(
+                        *(receiver_options[p] for p in crashers)
+                    ):
+                        events = tuple(
+                            CrashEvent(p, round_, r) for p, r in zip(crashers, receivers)
+                        )
+                        choices.append((events, survivors))
+        return round_choices[key]
 
     def rec(round_: int, available: Tuple[ProcessId, ...], acc: Tuple[CrashEvent, ...]) -> Iterator[FailurePattern]:
         if round_ > rounds:
-            if len(acc) <= n - 1:
-                yield FailurePattern(n, acc)
+            yield FailurePattern(n, acc)
             return
-        for events in patterns_for_round(available, round_):
-            crashed = {e.process for e in events}
-            if len(acc) + len(events) > n - 1:
-                continue
-            yield from rec(
-                round_ + 1,
-                tuple(p for p in available if p not in crashed),
-                acc + events,
-            )
+        cap = min(max_crashes_per_round, len(available), budget - len(acc))
+        for events, survivors in choices_for_round(available, round_, cap):
+            yield from rec(round_ + 1, survivors, acc + events)
 
     yield from rec(1, tuple(range(n)), ())
 
@@ -403,8 +418,7 @@ def build_restricted_complex(
     adversaries = (
         Adversary(values, pattern)
         for pattern in per_round_crash_patterns(
-            context.n, time, k, receiver_policy
+            context.n, time, k, receiver_policy, max_failures=context.t
         )
-        if pattern.num_failures <= context.t
     )
     return build_protocol_complex(adversaries, time, context.t, engine=engine, processes=processes)

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.topology.protocol_complex as protocol_complex
 from repro.model import Adversary, Context, CrashEvent, FailurePattern, Run
 from repro.topology import (
     build_protocol_complex,
@@ -41,6 +42,68 @@ class TestPatternEnumeration:
         patterns = list(per_round_crash_patterns(3, rounds=2, max_crashes_per_round=1, receiver_policy="none"))
         for pattern in patterns:
             assert len({e.process for e in pattern.crashes}) == pattern.num_failures
+
+
+def _filtered_grid():
+    """``(n, rounds, per_round, policy)`` cases for the pruned-generator differential.
+
+    ``receiver_policy="all"`` stops at n=4, and n=5 with two crashes per
+    round stops at two rounds: the unbounded n=5 three-round family has
+    405,091 patterns, too many for a fast test.
+    """
+    for n in range(2, 6):
+        for rounds in (1, 2, 3):
+            for per_round in (1, 2):
+                for policy in ("none", "canonical", "all"):
+                    if policy == "all" and n > 4:
+                        continue
+                    if n == 5 and rounds == 3 and per_round == 2 and policy != "none":
+                        continue
+                    yield n, rounds, per_round, policy
+
+
+class TestBoundedGeneration:
+    """``max_failures`` prunes during generation, never changing what is kept."""
+
+    @pytest.mark.parametrize("n, rounds, per_round, policy", list(_filtered_grid()))
+    def test_bound_equals_filter_in_order(self, n, rounds, per_round, policy):
+        unbounded = list(per_round_crash_patterns(n, rounds, per_round, policy))
+        for t in range(n):
+            bounded = list(
+                per_round_crash_patterns(n, rounds, per_round, policy, max_failures=t)
+            )
+            assert bounded == [p for p in unbounded if p.num_failures <= t]
+
+    def test_two_process_canonical_receivers_are_not_duplicated(self):
+        # With one other process the canonical "full set" is the singleton:
+        # the bounded stream must not reintroduce the duplicate.
+        patterns = list(per_round_crash_patterns(2, 2, 1, "canonical", max_failures=1))
+        assert len(patterns) == len(set(patterns)) == 1 + 2 * 2 * 2
+
+    def test_negative_bound_is_rejected(self):
+        with pytest.raises(ValueError, match="max_failures"):
+            list(per_round_crash_patterns(3, 1, 1, max_failures=-1))
+
+    def test_bound_above_model_limit_is_clamped(self):
+        assert list(per_round_crash_patterns(4, 2, 2, max_failures=9)) == list(
+            per_round_crash_patterns(4, 2, 2)
+        )
+
+    def test_restricted_complex_generates_only_kept_patterns(self, monkeypatch):
+        """Nothing the restricted builder generates is discarded afterwards."""
+        original = protocol_complex.per_round_crash_patterns
+        yielded = []
+
+        def counting(*args, **kwargs):
+            for pattern in original(*args, **kwargs):
+                yielded.append(pattern)
+                yield pattern
+
+        monkeypatch.setattr(protocol_complex, "per_round_crash_patterns", counting)
+        context = Context(n=5, t=1, k=2)
+        build_restricted_complex(context, time=2)
+        assert len(yielded) == 61
+        assert all(pattern.num_failures <= context.t for pattern in yielded)
 
 
 class TestProtocolComplexStructure:

@@ -103,6 +103,33 @@ class TestSpecs:
         )
         assert capped["admit"] and capped["workload"] == 10
 
+    def test_census_admission_bounds_the_generated_family(self):
+        """An admitted census never generates more patterns than admission sized."""
+        from repro.topology.protocol_complex import per_round_crash_patterns
+
+        checked = 0
+        for n in range(2, 6):
+            for t in range(n):
+                for k in range(1, 3):
+                    for time_ in (1, 2):
+                        try:
+                            spec = normalize_spec(
+                                {"kind": "census", "n": n, "t": t, "k": k, "time": time_}
+                            )
+                        except SpecError:
+                            continue
+                        verdict = admission(spec)
+                        if not verdict["admit"]:
+                            continue
+                        generated = sum(
+                            1 for _ in per_round_crash_patterns(
+                                n, time_, k, "canonical", max_failures=t
+                            )
+                        )
+                        assert verdict["workload"] >= generated, spec
+                        checked += 1
+        assert checked > 0
+
 
 class TestJobQueue:
     def test_submit_is_idempotent(self, tmp_path):
